@@ -21,16 +21,15 @@ import (
 
 // coordConfig is the coordinator's tunable surface, set by flags.
 type coordConfig struct {
-	maxBody       int64         // request-body cap; beyond it 413
-	reqTimeout    time.Duration // per-request wall cap (propagated to workers)
-	retries       int           // max forward attempts per request
-	backoff       fleet.BackoffConfig
-	heartbeatTTL  time.Duration // silence moving a worker active -> suspect
-	ejectAfter    int           // TTLs of silence before ejection
-	replicas      int           // ring virtual nodes per worker
-	drainTimeout  time.Duration
-	hedgeDelay    time.Duration // delayed-duplicate threshold (0 = hedging off)
-	scrubInterval time.Duration // WAL scrub cadence (0 = scrubbing off)
+	maxBody      int64         // request-body cap; beyond it 413
+	reqTimeout   time.Duration // per-request wall cap (propagated to workers)
+	retries      int           // max forward attempts per request
+	backoff      fleet.BackoffConfig
+	heartbeatTTL time.Duration // silence moving a worker active -> suspect
+	ejectAfter   int           // TTLs of silence before ejection
+	replicas     int           // ring virtual nodes per worker
+	drainTimeout time.Duration
+	hedgeDelay   time.Duration // delayed-duplicate threshold (0 = hedging off)
 }
 
 // coord is the coordinator state: the worker registry (liveness +
@@ -42,7 +41,7 @@ type coord struct {
 	ring     *fleet.Ring
 	handoff  *fleet.HandoffQueue
 	jobs     *fleet.JobTable
-	wal      *coordWAL // nil = WAL disabled
+	wal      *fleet.Journal // nil = WAL disabled
 	client   *http.Client
 	stdout   io.Writer
 	begin    time.Time
@@ -53,8 +52,7 @@ type coord struct {
 	flightMu sync.Mutex
 	flights  map[fleet.JobKey]*flight // live single-flight computations
 
-	probeMat  atomic.Pointer[probeMaterial]          // last verified job, replayed as quarantine probe
-	lastScrub atomic.Pointer[checkpoint.ScrubStatus] // latest WAL scrub outcome
+	probeMat atomic.Pointer[probeMaterial] // last verified job, replayed as quarantine probe
 
 	requests    atomic.Int64
 	ok200       atomic.Int64
@@ -68,8 +66,6 @@ type coord struct {
 	hedges      atomic.Int64 // delayed duplicates fired
 	hedgeWins   atomic.Int64 // races won by the hedge
 	collapsed   atomic.Int64 // requests answered by another flight's computation
-	walErrs     atomic.Int64
-	walLastErr  atomic.Value // string
 }
 
 func newCoord(cfg coordConfig, registryCfg fleet.RegistryConfig, stdout io.Writer) *coord {
@@ -89,31 +85,24 @@ func newCoord(cfg coordConfig, registryCfg fleet.RegistryConfig, stdout io.Write
 	}
 }
 
-// attachWAL wires a recovered WAL in: job ids continue after the dead
-// process's and replayed outcomes answer on /jobs/{id}. Pending jobs
-// are re-enqueued separately (requeue) once the handler is serving.
-func (c *coord) attachWAL(w *coordWAL, maxSeq int64, replayed []coordWALRecord) {
+// attachWAL wires a recovered journal in: job ids continue after the
+// dead process's, replayed outcomes answer on /jobs/{id}, and each
+// pending record is re-enqueued as a detached job under its routing key.
+func (c *coord) attachWAL(w *fleet.Journal, rep fleet.Replay) {
 	c.wal = w
-	c.jobs.ContinueFrom(maxSeq)
-	state := make(map[string]fleet.JobInfo)
-	var order []string
-	for _, rec := range replayed {
-		j, seen := state[rec.JobID]
-		if !seen {
-			order = append(order, rec.JobID)
-			j = fleet.JobInfo{ID: rec.JobID, Status: "accepted"}
+	rep.Restore(c.jobs)
+	pending := make([]fleet.Job, len(rep.Pending))
+	for i, rec := range rep.Pending {
+		pending[i] = fleet.Job{
+			ID:       rec.JobID,
+			Key:      fleet.JobKey{Fingerprint: rec.Fingerprint, Opts: rec.Opts},
+			Format:   rec.Format,
+			Query:    rec.Query,
+			Netlist:  rec.Netlist,
+			Detached: true, // its client died with the old process
 		}
-		switch rec.Type {
-		case "done":
-			j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", rec.Cut, rec.TierName, rec.Degraded, rec.WallMS, rec.Worker
-		case "failed":
-			j.Status, j.Error = "failed", rec.Error
-		}
-		state[rec.JobID] = j
 	}
-	for _, id := range order {
-		c.jobs.Restore(state[id])
-	}
+	c.requeue(pending)
 }
 
 // requeue re-enqueues WAL-recovered pending jobs as detached handoffs.
@@ -138,18 +127,8 @@ func (c *coord) finishFromMemory(jobID string, d fleet.Done) {
 	c.jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.Worker = "done", d.Cut, d.TierName, d.Degraded, d.Worker
 	})
-	c.walAppend(coordWALRecord{Type: "done", JobID: jobID,
+	c.wal.Append(fleet.JournalRecord{Type: "done", JobID: jobID,
 		Cut: d.Cut, TierName: d.TierName, Worker: d.Worker, Degraded: d.Degraded})
-}
-
-func (c *coord) walAppend(rec coordWALRecord) {
-	if c.wal == nil {
-		return
-	}
-	if err := c.wal.append(rec); err != nil {
-		c.walErrs.Add(1)
-		c.walLastErr.Store(err.Error())
-	}
 }
 
 // sweep advances the liveness state machine once: newly ejected
@@ -292,7 +271,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	}
 	c.requests.Add(1)
 	if c.draining.Load() {
-		w.Header().Set("Retry-After", retryAfterSeconds(c.cfg.drainTimeout))
+		w.Header().Set("Retry-After", fleet.RetryAfterSeconds(c.cfg.drainTimeout))
 		writeError(w, http.StatusServiceUnavailable, "draining: coordinator is shutting down")
 		return
 	}
@@ -340,7 +319,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// it completes, fails permanently, or survives in the WAL.
 	jobID := c.jobs.Create()
 	job := fleet.Job{ID: jobID, Key: key, Format: format, Query: r.URL.RawQuery, Netlist: string(raw)}
-	c.walAppend(coordWALRecord{Type: "accepted", JobID: jobID,
+	c.wal.Append(fleet.JournalRecord{Type: "accepted", JobID: jobID,
 		Format: format, Query: r.URL.RawQuery, Netlist: string(raw),
 		Fingerprint: key.Fingerprint, Opts: key.Opts})
 	c.handoff.Admit(job)
@@ -361,14 +340,14 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 			// and forget the job (a later identical request runs afresh).
 			c.handoff.Fail(jobID)
 			c.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.walAppend(coordWALRecord{Type: "failed", JobID: jobID, Error: perm.body})
+			c.wal.Append(fleet.JournalRecord{Type: "failed", JobID: jobID, Error: perm.body})
 			writeRaw(w, perm.status, perm.body)
 			return
 		}
 		c.failed.Add(1)
 		c.handoff.Fail(jobID)
 		c.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", ferr.Error() })
-		c.walAppend(coordWALRecord{Type: "failed", JobID: jobID, Error: ferr.Error()})
+		c.wal.Append(fleet.JournalRecord{Type: "failed", JobID: jobID, Error: ferr.Error()})
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("all forwards failed: %v", ferr))
 		return
 	}
@@ -377,7 +356,7 @@ func (c *coord) handlePartition(w http.ResponseWriter, r *http.Request) {
 	c.jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", resp.Cut, resp.TierName, resp.Degraded, resp.WallMS, worker
 	})
-	c.walAppend(coordWALRecord{Type: "done", JobID: jobID,
+	c.wal.Append(fleet.JournalRecord{Type: "done", JobID: jobID,
 		Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded, WallMS: resp.WallMS})
 	c.keepProbeMaterial(job, vs)
 
@@ -401,7 +380,7 @@ func (c *coord) runDetached(job fleet.Job) {
 		// unverified.
 		c.handoff.Fail(job.ID)
 		c.jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
-		c.walAppend(coordWALRecord{Type: "failed", JobID: job.ID, Error: err.Error()})
+		c.wal.Append(fleet.JournalRecord{Type: "failed", JobID: job.ID, Error: err.Error()})
 		return
 	}
 	for round := 0; ; round++ {
@@ -417,7 +396,7 @@ func (c *coord) runDetached(job fleet.Job) {
 			c.jobs.Update(job.ID, func(j *fleet.JobInfo) {
 				j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS, j.Worker = "done", resp.Cut, resp.TierName, resp.Degraded, resp.WallMS, worker
 			})
-			c.walAppend(coordWALRecord{Type: "done", JobID: job.ID,
+			c.wal.Append(fleet.JournalRecord{Type: "done", JobID: job.ID,
 				Cut: resp.Cut, TierName: resp.TierName, Worker: worker, Degraded: resp.Degraded, WallMS: resp.WallMS})
 			c.keepProbeMaterial(job, vs)
 			return
@@ -426,7 +405,7 @@ func (c *coord) runDetached(job fleet.Job) {
 		if errors.As(err, &perm) {
 			c.handoff.Fail(job.ID)
 			c.jobs.Update(job.ID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", perm.body })
-			c.walAppend(coordWALRecord{Type: "failed", JobID: job.ID, Error: perm.body})
+			c.wal.Append(fleet.JournalRecord{Type: "failed", JobID: job.ID, Error: perm.body})
 			return
 		}
 		// Transient: every candidate failed or no workers are registered
@@ -510,26 +489,7 @@ func (c *coord) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if q := c.registry.QuarantinedIDs(); len(q) > 0 {
 		resp["quarantined"] = q
 	}
-	if c.wal != nil {
-		resp["wal"] = true
-		resp["last_checkpoint_age_ms"] = c.wal.lastAppendAge().Milliseconds()
-		resp["wal_errors"] = c.walErrs.Load()
-		if n := c.walErrs.Load(); n > 0 {
-			last, _ := c.walLastErr.Load().(string)
-			resp["wal_last_error"] = last
-			reasons = append(reasons, fmt.Sprintf("%d WAL append error(s), last: %s", n, last))
-		}
-		if p := c.lastScrub.Load(); p != nil {
-			st := *p
-			st.AgeMS = time.Since(st.At).Milliseconds()
-			resp["wal_scrub"] = st
-			if !st.Healthy() {
-				reasons = append(reasons, "wal scrub: "+st.Problem())
-			}
-		}
-	} else {
-		resp["wal"] = false
-	}
+	reasons = append(reasons, c.wal.Health(resp)...)
 	if c.draining.Load() {
 		resp["draining"] = true
 		reasons = append(reasons, "draining: shutting down")
@@ -561,14 +521,9 @@ func (c *coord) handleStats(w http.ResponseWriter, r *http.Request) {
 		"handoff":     c.handoff.Stats(),
 		"jobs":        c.jobs.Counts(),
 		"workers":     c.registry.Len(),
-		"wal_errors":  c.walErrs.Load(),
 		"uptime_ms":   time.Since(c.begin).Milliseconds(),
 	}
-	if p := c.lastScrub.Load(); p != nil {
-		st := *p
-		st.AgeMS = time.Since(st.At).Milliseconds()
-		stats["wal_scrub"] = st
-	}
+	c.wal.Stats(stats)
 	writeJSON(w, http.StatusOK, stats)
 }
 
@@ -587,12 +542,4 @@ func writeRaw(w http.ResponseWriter, code int, body string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	io.WriteString(w, body)
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	secs := int(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
 }

@@ -406,29 +406,28 @@ func TestWALRecoveryReenqueues(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 
 	// First life: accept a job, journal it, "crash" before any outcome.
-	w1, _, _, _, err := openCoordWAL(walPath)
+	w1, _, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.append(coordWALRecord{Type: "accepted", JobID: "j7",
+	if err := w1.Append(fleet.JournalRecord{Type: "accepted", JobID: "j7",
 		Netlist: testNets, Fingerprint: 7, Opts: "starts=2"}); err != nil {
 		t.Fatal(err)
 	}
-	w1.close()
+	w1.Close()
 
 	// Second life: replay, then register a worker; the detached runner
 	// must finish the job on its own.
-	w2, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	w2, rep, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	if maxSeq != 7 || len(pending) != 1 || len(replayed) != 1 {
-		t.Fatalf("replay = (seq %d, %d replayed, %d pending)", maxSeq, len(replayed), len(pending))
+	defer w2.Close()
+	if rep.MaxSeq != 7 || len(rep.Pending) != 1 || len(rep.Records) != 1 {
+		t.Fatalf("replay = (seq %d, %d replayed, %d pending)", rep.MaxSeq, len(rep.Records), len(rep.Pending))
 	}
 	c := testCoord(nil)
-	c.attachWAL(w2, maxSeq, replayed)
-	c.requeue(pending)
+	c.attachWAL(w2, rep)
 	h := c.handler()
 	fw := newFakeWorker(t, "w1")
 	register(t, h, "w1", fw.addr())

@@ -14,11 +14,12 @@ package main
 // known-checkable request, and the worker's result cache makes
 // repeated probes nearly free for an honest worker.
 //
-// Scrub: with a WAL attached, a background pass re-walks its CRC
-// frames on a timer and publishes the report. Bit rot is detected
-// while the process is healthy — not at the next crash's replay, when
-// the data is needed and the operator is busy — and degrades /healthz
-// so fleet monitoring sees it.
+// Scrub: with a WAL attached, the journal's background pass re-walks
+// its CRC frames on a timer and publishes the report (fleet.Journal).
+// Bit rot is detected while the process is healthy — not at the next
+// crash's replay, when the data is needed and the operator is busy —
+// and degrades /healthz so fleet monitoring sees it; the coordinator
+// also logs each unhealthy pass.
 
 import (
 	"context"
@@ -81,33 +82,10 @@ func (c *coord) probeWorker(id string, mat *probeMaterial) {
 	}
 }
 
-// runScrub performs one scrub pass over the WAL and publishes the
-// result. No-op without a WAL.
-func (c *coord) runScrub() {
-	if c.wal == nil {
-		return
-	}
-	rep, err := c.wal.scrub()
-	st := &checkpoint.ScrubStatus{Report: rep, At: time.Now()}
-	if err != nil {
-		st.Err = err.Error()
-	}
+// logScrub reports an unhealthy WAL scrub pass; the journal has
+// already published it to /healthz and /stats.
+func (c *coord) logScrub(st *checkpoint.ScrubStatus) {
 	if !st.Healthy() {
 		fmt.Fprintf(c.stdout, "hgpartcoord: WAL scrub unhealthy: %s\n", st.Problem())
-	}
-	c.lastScrub.Store(st)
-}
-
-// scrubLoop runs runScrub on a timer until stop closes.
-func (c *coord) scrubLoop(interval time.Duration, stop <-chan struct{}) {
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			c.runScrub()
-		}
 	}
 }

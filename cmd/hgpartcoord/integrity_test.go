@@ -306,44 +306,43 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
 
 	// Life 1: accept, journal, crash before any outcome.
-	w1, _, _, _, err := openCoordWAL(walPath)
+	w1, _, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.append(coordWALRecord{Type: "accepted", JobID: "j3",
+	if err := w1.Append(fleet.JournalRecord{Type: "accepted", JobID: "j3",
 		Netlist: testNets, Fingerprint: 3}); err != nil {
 		t.Fatal(err)
 	}
-	w1.close()
+	w1.Close()
 
 	// Life 2: replay and re-enqueue, but no worker ever registers; the
 	// coordinator "dies" again (drain) mid-reclaim.
-	w2, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	w2, rep, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 1 {
-		t.Fatalf("life 2 pending = %d, want 1", len(pending))
+	if len(rep.Pending) != 1 {
+		t.Fatalf("life 2 pending = %d, want 1", len(rep.Pending))
 	}
 	c2 := testCoord(nil)
-	c2.attachWAL(w2, maxSeq, replayed)
-	c2.requeue(pending)
+	c2.attachWAL(w2, rep)
 	time.Sleep(30 * time.Millisecond) // the detached runner spins on an empty fleet
 	c2.draining.Store(true)
 	time.Sleep(100 * time.Millisecond) // let the runner observe drain and park
-	w2.close()
+	w2.Close()
 
 	// Life 3: the job is still pending exactly once — the aborted
 	// reclaim journaled no outcome and no duplicate accepted record.
-	w3, maxSeq, replayed, pending, err := openCoordWAL(walPath)
+	w3, rep, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 1 || pending[0].ID != "j3" {
-		t.Fatalf("life 3 pending = %+v, want exactly [j3]", pending)
+	if len(rep.Pending) != 1 || rep.Pending[0].JobID != "j3" {
+		t.Fatalf("life 3 pending = %+v, want exactly [j3]", rep.Pending)
 	}
 	accepted := 0
-	for _, rec := range replayed {
+	for _, rec := range rep.Records {
 		if rec.Type == "accepted" && rec.JobID == "j3" {
 			accepted++
 		}
@@ -352,8 +351,7 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 		t.Fatalf("life 3 sees %d accepted record(s) for j3, want 1", accepted)
 	}
 	c3 := testCoord(nil)
-	c3.attachWAL(w3, maxSeq, replayed)
-	c3.requeue(pending)
+	c3.attachWAL(w3, rep)
 	h := c3.handler()
 	fw := newFakeWorker(t, "w1")
 	register(t, h, "w1", fw.addr())
@@ -373,19 +371,19 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 		t.Errorf("worker ran the job %d time(s), want exactly 1", got)
 	}
 	time.Sleep(20 * time.Millisecond) // done record is fsynced right after the status flip
-	w3.close()
+	w3.Close()
 
 	// Life 4: nothing pending; the ledger holds the single outcome.
-	w4, _, replayed, pending, err := openCoordWAL(walPath)
+	w4, rep, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w4.close()
-	if len(pending) != 0 {
-		t.Fatalf("life 4 pending = %d, want 0", len(pending))
+	defer w4.Close()
+	if len(rep.Pending) != 0 {
+		t.Fatalf("life 4 pending = %d, want 0", len(rep.Pending))
 	}
 	done := 0
-	for _, rec := range replayed {
+	for _, rec := range rep.Records {
 		if rec.Type == "done" && rec.JobID == "j3" {
 			done++
 		}
@@ -400,14 +398,14 @@ func TestDoubleFailureHandoffExactlyOnce(t *testing.T) {
 // /healthz and surfacing the report on /stats.
 func TestScrubDegradesHealthOnRot(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "coord.wal")
-	w, maxSeq, replayed, _, err := openCoordWAL(walPath)
+	w, rep, err := fleet.OpenJournal(walPath, fleet.PurposeCoordinator)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
+	defer w.Close()
 	c := testCoord(nil)
-	c.attachWAL(w, maxSeq, replayed)
-	if err := w.append(coordWALRecord{Type: "accepted", JobID: "j1", Netlist: testNets, Fingerprint: 1}); err != nil {
+	c.attachWAL(w, rep)
+	if err := w.Append(fleet.JournalRecord{Type: "accepted", JobID: "j1", Netlist: testNets, Fingerprint: 1}); err != nil {
 		t.Fatal(err)
 	}
 	h := c.handler()
@@ -422,7 +420,7 @@ func TestScrubDegradesHealthOnRot(t *testing.T) {
 		return m
 	}
 
-	c.runScrub()
+	c.logScrub(c.wal.Scrub())
 	if m := healthz(); m["status"] != "ok" {
 		t.Fatalf("clean WAL healthz = %v (reasons %v)", m["status"], m["degraded_reasons"])
 	}
@@ -437,7 +435,7 @@ func TestScrubDegradesHealthOnRot(t *testing.T) {
 	}
 	f.Close()
 
-	c.runScrub()
+	c.logScrub(c.wal.Scrub())
 	m := healthz()
 	if m["status"] != "degraded" {
 		t.Fatalf("rotted WAL healthz = %v, want degraded", m["status"])

@@ -109,16 +109,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := coordConfig{
-		maxBody:       *maxBody,
-		reqTimeout:    *reqTimeout,
-		retries:       *retries,
-		backoff:       fleet.BackoffConfig{Base: *retryBase, Cap: *retryCap, Seed: *retrySeed},
-		heartbeatTTL:  *heartbeatTTL,
-		ejectAfter:    *ejectAfter,
-		replicas:      *replicas,
-		drainTimeout:  *drainTimeout,
-		hedgeDelay:    *hedgeDelay,
-		scrubInterval: *scrubEvery,
+		maxBody:      *maxBody,
+		reqTimeout:   *reqTimeout,
+		retries:      *retries,
+		backoff:      fleet.BackoffConfig{Base: *retryBase, Cap: *retryCap, Seed: *retrySeed},
+		heartbeatTTL: *heartbeatTTL,
+		ejectAfter:   *ejectAfter,
+		replicas:     *replicas,
+		drainTimeout: *drainTimeout,
+		hedgeDelay:   *hedgeDelay,
 	}
 	c := newCoord(cfg, fleet.RegistryConfig{
 		HeartbeatTTL: *heartbeatTTL,
@@ -136,17 +135,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// process accepted but never saw finish. The detached runners wait
 	// (with backoff) for workers to register, so boot order is free.
 	if *walPath != "" {
-		w, maxSeq, replayed, pending, err := openCoordWAL(*walPath)
+		w, rep, err := fleet.OpenJournal(*walPath, fleet.PurposeCoordinator)
 		if err != nil {
 			return fail(err)
 		}
-		defer w.close()
-		c.attachWAL(w, maxSeq, replayed)
-		if len(replayed) > 0 || len(pending) > 0 {
+		defer w.Close()
+		if len(rep.Records) > 0 {
 			fmt.Fprintf(stdout, "hgpartcoord: WAL %s: replayed %d record(s), re-enqueuing %d interrupted job(s)\n",
-				*walPath, len(replayed), len(pending))
+				*walPath, len(rep.Records), len(rep.Pending))
 		}
-		c.requeue(pending)
+		c.attachWAL(w, rep)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -159,9 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// correctness, so half a TTL keeps /healthz timely without load.
 	sweepStop := make(chan struct{})
 	go c.sweepLoop(*heartbeatTTL/2, sweepStop)
-	if c.wal != nil && *scrubEvery > 0 {
-		go c.scrubLoop(*scrubEvery, sweepStop)
-	}
+	go c.wal.ScrubLoop(*scrubEvery, sweepStop, c.logScrub)
 
 	httpSrv := &http.Server{
 		Handler:           c.handler(),

@@ -12,9 +12,9 @@ package main
 //
 // The constraint is reconstructed coordinator-side exactly the way
 // hgpartd builds it (inline netlist directives, overridden by the fixed
-// query parameter, plus epsilon), through the same shared
-// fasthgp.ParseFixedSpec parser, so the verified contract is the solved
-// contract. Degraded portfolio answers also satisfy the constraint —
+// query parameter, plus epsilon), through the same wire-format parse
+// (netio.ReadWire) and the same fasthgp.ParseFixedSpec parser, so the
+// verified contract is the solved contract. Degraded portfolio answers also satisfy the constraint —
 // every tier's candidate is certified before the daemon returns it —
 // so verification applies unconditionally.
 
@@ -26,6 +26,7 @@ import (
 
 	"fasthgp"
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/netio"
 )
 
 // verifySpec is everything needed to judge a worker's answer to one
@@ -39,7 +40,7 @@ type verifySpec struct {
 // parse or constraint error means the request itself is bad (the
 // caller answers 400), not that a worker misbehaved.
 func newVerifySpec(format string, raw []byte, q url.Values) (*verifySpec, error) {
-	h, inlineFixed, err := parseNetlistFixed(format, raw)
+	h, inlineFixed, err := netio.ReadWire(format, bytes.NewReader(raw))
 	if err != nil {
 		return nil, err
 	}
@@ -102,20 +103,4 @@ func (vs *verifySpec) verify(resp workerResponse) error {
 		}
 	}
 	return nil
-}
-
-// parseNetlistFixed reads a netlist in the named wire format along with
-// any inline fixed-vertex directives (nets format only; nil otherwise)
-// — the same parse hgpartd performs, so coordinator and worker agree on
-// both the fingerprint and the constraint.
-func parseNetlistFixed(format string, raw []byte) (*fasthgp.Hypergraph, []int8, error) {
-	switch format {
-	case "", "nets":
-		return fasthgp.ReadNetlistFixed(bytes.NewReader(raw))
-	case "hgr":
-		h, err := fasthgp.ReadHMetisStream(bytes.NewReader(raw))
-		return h, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown format %q", format)
-	}
 }

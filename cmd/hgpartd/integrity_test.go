@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/fleet"
 )
 
 // TestRetryAfterHintBounds: hints stay at or above the nominal floor,
@@ -93,14 +94,14 @@ func TestByzantineModeLiesOnlyOnWire(t *testing.T) {
 // surfaces the report on /stats.
 func TestWALScrubDegradesHealthz(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "hgpartd.wal")
-	w, maxSeq, replayed, _, err := openWAL(walPath)
+	w, rep, err := fleet.OpenJournal(walPath, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
+	defer w.Close()
 	s := testServer()
-	s.attachWAL(w, maxSeq, replayed)
-	if err := w.append(walRecord{Type: "accepted", JobID: "j1", Netlist: testNets}); err != nil {
+	s.attachWAL(w, rep)
+	if err := w.Append(fleet.JournalRecord{Type: "accepted", JobID: "j1", Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
 	h := s.handler()
@@ -115,7 +116,7 @@ func TestWALScrubDegradesHealthz(t *testing.T) {
 		return m
 	}
 
-	s.runScrub()
+	s.wal.Scrub()
 	if m := healthz(); m["status"] != "ok" {
 		t.Fatalf("clean WAL healthz = %v (reasons %v)", m["status"], m["degraded_reasons"])
 	}
@@ -129,7 +130,7 @@ func TestWALScrubDegradesHealthz(t *testing.T) {
 	}
 	f.Close()
 
-	s.runScrub()
+	s.wal.Scrub()
 	m := healthz()
 	if m["status"] != "degraded" {
 		t.Fatalf("rotted WAL healthz = %v, want degraded", m["status"])

@@ -69,6 +69,7 @@ import (
 	"time"
 
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/fleet"
 )
 
 func main() {
@@ -149,17 +150,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// /jobs/{id}, and re-enqueue whatever the previous process accepted
 	// but never finished.
 	if *walPath != "" {
-		w, maxSeq, replayed, pending, err := openWAL(*walPath)
+		w, rep, err := fleet.OpenJournal(*walPath, fleet.PurposeWorker)
 		if err != nil {
 			return fail(err)
 		}
-		defer w.close()
-		s.attachWAL(w, maxSeq, replayed)
-		if len(replayed) > 0 || len(pending) > 0 {
+		defer w.Close()
+		if len(rep.Records) > 0 {
 			fmt.Fprintf(stdout, "hgpartd: WAL %s: replayed %d record(s), re-enqueuing %d interrupted job(s)\n",
-				*walPath, len(replayed), len(pending))
+				*walPath, len(rep.Records), len(rep.Pending))
 		}
-		s.requeue(pending)
+		s.attachWAL(w, rep)
 	}
 
 	// Profiling endpoint, off by default and on its own listener + mux
@@ -209,9 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
-	if s.wal != nil && *scrubEvery > 0 {
-		go s.scrubLoop(*scrubEvery, ctx.Done())
-	}
+	go s.wal.ScrubLoop(*scrubEvery, ctx.Done(), nil)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

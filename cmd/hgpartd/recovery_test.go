@@ -78,12 +78,11 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 
 	sa := testServer()
-	w, maxSeq, replayed, pending, err := openWAL(path)
+	w, rep, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sa.attachWAL(w, maxSeq, replayed)
-	sa.requeue(pending)
+	sa.attachWAL(w, rep)
 	rec := post(t, sa.handler(), "/partition?seed=3", testNets)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", rec.Code, rec.Body)
@@ -92,18 +91,18 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	w.close() // crash; no graceful anything beyond the fsyncs already done
+	w.Close() // crash; no graceful anything beyond the fsyncs already done
 
 	sb := testServer()
-	w2, maxSeq2, replayed2, pending2, err := openWAL(path)
+	w2, rep2, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	sb.attachWAL(w2, maxSeq2, replayed2)
-	if len(pending2) != 0 {
-		t.Fatalf("finished job came back as pending: %+v", pending2)
+	defer w2.Close()
+	if len(rep2.Pending) != 0 {
+		t.Fatalf("finished job came back as pending: %+v", rep2.Pending)
 	}
+	sb.attachWAL(w2, rep2)
 	job, ok := sb.jobs.Get(resp.JobID)
 	if !ok {
 		t.Fatalf("restarted daemon lost job %s", resp.JobID)
@@ -123,27 +122,26 @@ func TestWALPersistsAcrossRestart(t *testing.T) {
 // cause the next boot to re-run the job to completion.
 func TestWALReenqueuesInterruptedJob(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _, _, _, err := openWAL(path)
+	w, _, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.append(walRecord{Type: "accepted", JobID: "j7",
+	if err := w.Append(fleet.JournalRecord{Type: "accepted", JobID: "j7",
 		Query: "seed=3&starts=2", Netlist: testNets}); err != nil {
 		t.Fatal(err)
 	}
-	w.close() // the "crash": accepted journaled, outcome never written
+	w.Close() // the "crash": accepted journaled, outcome never written
 
 	s := testServer()
-	w2, maxSeq, replayed, pending, err := openWAL(path)
+	w2, rep, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.close()
-	if len(pending) != 1 || pending[0].JobID != "j7" {
-		t.Fatalf("pending = %+v, want the interrupted j7", pending)
+	defer w2.Close()
+	if len(rep.Pending) != 1 || rep.Pending[0].JobID != "j7" {
+		t.Fatalf("pending = %+v, want the interrupted j7", rep.Pending)
 	}
-	s.attachWAL(w2, maxSeq, replayed)
-	s.requeue(pending)
+	s.attachWAL(w2, rep)
 
 	job := waitForJob(t, s, "j7")
 	if job.Status != "done" || !job.Requeued || job.Cut < 1 {
@@ -151,35 +149,48 @@ func TestWALReenqueuesInterruptedJob(t *testing.T) {
 	}
 
 	// The outcome is durable: a third boot sees nothing left to do.
-	w3, _, _, pending3, err := openWAL(path)
+	w3, rep3, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w3.close()
-	if len(pending3) != 0 {
-		t.Fatalf("job still pending after recovery run: %+v", pending3)
+	defer w3.Close()
+	if len(rep3.Pending) != 0 {
+		t.Fatalf("job still pending after recovery run: %+v", rep3.Pending)
 	}
 }
 
 // TestWALRecoveredJobFailureIsJournaled: a recovered job whose netlist
 // no longer parses (schema drift, truncation) must fail loudly in the
-// job table, not wedge the queue.
+// job table and the journal, not wedge the queue.
 func TestWALRecoveredJobFailureIsJournaled(t *testing.T) {
 	s := testServer()
 	path := filepath.Join(t.TempDir(), "wal")
-	w, _, _, _, err := openWAL(path)
+	w, _, err := fleet.OpenJournal(path, fleet.PurposeWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.close()
-	s.attachWAL(w, 0, nil)
-	s.requeue([]pendingJob{{JobID: "j3", Netlist: "frobnicate\n"}})
+	s.attachWAL(w, fleet.Replay{Pending: []fleet.JournalRecord{
+		{Type: "accepted", JobID: "j3", Netlist: "frobnicate\n"}}})
 	job := waitForJob(t, s, "j3")
 	if job.Status != "failed" || job.Error == "" {
 		t.Fatalf("job = %+v, want failed with an error", job)
 	}
-	if n := s.inFlight.Load(); n != 0 {
-		t.Errorf("inFlight = %d after recovery, want 0", n)
+	// The failed record is journaled after the status flip; inFlight
+	// drops once the recovery run has returned.
+	for deadline := time.Now().Add(5 * time.Second); s.inFlight.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("inFlight = %d after recovery, want 0", s.inFlight.Load())
+		}
+	}
+	w.Close()
+
+	w2, rep, err := fleet.OpenJournal(path, fleet.PurposeWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if len(rep.Records) != 1 || rep.Records[0].Type != "failed" || rep.Records[0].JobID != "j3" {
+		t.Errorf("journal = %+v, want the one failed record for j3", rep.Records)
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"fasthgp"
-	"fasthgp/internal/checkpoint"
 	"fasthgp/internal/faultinject"
 	"fasthgp/internal/fleet"
+	"fasthgp/internal/netio"
 	"fasthgp/internal/partition"
 )
 
@@ -48,15 +48,13 @@ type server struct {
 	sem      chan struct{} // admission tokens; full queue = 429
 	begin    time.Time
 	jobs     *fleet.JobTable
-	wal      *wal                // nil = WAL disabled
+	wal      *fleet.Journal      // nil = WAL disabled
 	breakers *fasthgp.BreakerSet // nil = breakers disabled
 	mem      *memWatcher         // nil = shedding disabled
 	cache    *resultCache        // nil = result caching disabled
 
-	draining   atomic.Bool                            // SIGTERM received: new jobs answer 503 + Retry-After
-	walLastErr atomic.Value                           // string: most recent WAL append failure (surfaced on /healthz)
-	lastScrub  atomic.Pointer[checkpoint.ScrubStatus] // latest WAL scrub outcome
-	retrySalt  atomic.Uint64                          // splitmix64 counter behind Retry-After jitter
+	draining  atomic.Bool   // SIGTERM received: new jobs answer 503 + Retry-After
+	retrySalt atomic.Uint64 // mix.SplitMix64 counter behind Retry-After jitter
 
 	requests   atomic.Int64 // partition requests admitted or rejected
 	inFlight   atomic.Int64
@@ -68,7 +66,6 @@ type server struct {
 	failed500  atomic.Int64
 	degraded   atomic.Int64 // 200s answered by a fallback tier
 	recovered  atomic.Int64 // panics converted to 500 by the middleware
-	walErrs    atomic.Int64 // WAL appends that failed (serving continued)
 	reqCounter atomic.Int64 // fault-injection index for hgpartd.request
 }
 
@@ -93,31 +90,13 @@ func newServer(cfg serverConfig) *server {
 	return s
 }
 
-// attachWAL wires a recovered WAL into the server: job ids continue
-// after the dead process's, and every replayed job is visible to
-// GET /jobs/{id} in its last known state.
-func (s *server) attachWAL(w *wal, maxSeq int64, replayed []walRecord) {
+// attachWAL wires a recovered journal in: job ids continue after the
+// dead process's, every replayed job answers on GET /jobs/{id}, and
+// the interrupted ones are re-enqueued.
+func (s *server) attachWAL(w *fleet.Journal, rep fleet.Replay) {
 	s.wal = w
-	s.jobs.ContinueFrom(maxSeq)
-	state := make(map[string]fleet.JobInfo)
-	var order []string
-	for _, rec := range replayed {
-		j, seen := state[rec.JobID]
-		if !seen {
-			order = append(order, rec.JobID)
-			j = fleet.JobInfo{ID: rec.JobID, Status: "accepted"}
-		}
-		switch rec.Type {
-		case "done":
-			j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS = "done", rec.Cut, rec.TierName, rec.Degraded, rec.WallMS
-		case "failed":
-			j.Status, j.Error = "failed", rec.Error
-		}
-		state[rec.JobID] = j
-	}
-	for _, id := range order {
-		s.jobs.Restore(state[id])
-	}
+	rep.Restore(s.jobs)
+	s.requeue(rep.Pending)
 }
 
 // requeue re-enqueues the WAL's accepted-but-unfinished jobs through
@@ -125,10 +104,10 @@ func (s *server) attachWAL(w *wal, maxSeq int64, replayed []walRecord) {
 // job blocks for a token instead of answering 429 (there is no client
 // to answer). A job interrupted again before finishing simply stays
 // pending in the WAL for the next boot.
-func (s *server) requeue(pending []pendingJob) {
+func (s *server) requeue(pending []fleet.JournalRecord) {
 	for _, p := range pending {
 		s.jobs.Restore(fleet.JobInfo{ID: p.JobID, Status: "requeued", Requeued: true})
-		go func(p pendingJob) {
+		go func(p fleet.JournalRecord) {
 			s.sem <- struct{}{}
 			defer func() { <-s.sem }()
 			s.inFlight.Add(1)
@@ -139,12 +118,12 @@ func (s *server) requeue(pending []pendingJob) {
 }
 
 // runRecovered re-runs one WAL-replayed job end to end.
-func (s *server) runRecovered(p pendingJob) {
+func (s *server) runRecovered(p fleet.JournalRecord) {
 	failJob := func(err error) {
 		s.jobs.Update(p.JobID, func(j *fleet.JobInfo) { j.Status, j.Error = "failed", err.Error() })
-		s.walAppend(walRecord{Type: "failed", JobID: p.JobID, Error: err.Error()})
+		s.wal.Append(fleet.JournalRecord{Type: "failed", JobID: p.JobID, Error: err.Error()})
 	}
-	h, inlineFixed, err := parseNetlistFixed(p.Format, strings.NewReader(p.Netlist))
+	h, inlineFixed, err := netio.ReadWire(p.Format, strings.NewReader(p.Netlist))
 	if err != nil {
 		failJob(err)
 		return
@@ -162,20 +141,6 @@ func (s *server) runRecovered(p pendingJob) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.reqTimeout)
 	defer cancel()
 	_, _ = s.execute(ctx, h, opts, p.JobID)
-}
-
-// parseNetlistFixed reads a netlist in the named wire format along with
-// any inline fixed-vertex directives (nets format only; nil otherwise).
-func parseNetlistFixed(format string, r io.Reader) (*fasthgp.Hypergraph, []int8, error) {
-	switch format {
-	case "", "nets":
-		return fasthgp.ReadNetlistFixed(r)
-	case "hgr":
-		h, err := fasthgp.ReadHMetisStream(r)
-		return h, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown format %q", format)
-	}
 }
 
 // handler builds the route table, every route behind the panic-recovery
@@ -226,7 +191,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// client (or the coordinator fronting this worker) re-routes instead
 	// of watching a connection die when the drain deadline passes.
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", s.drainRetryAfter())
+		w.Header().Set("Retry-After", fleet.RetryAfterSeconds(s.cfg.drainTimeout))
 		s.writeError(w, http.StatusServiceUnavailable, "draining: daemon is shutting down; retry another instance")
 		return
 	}
@@ -271,7 +236,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := r.URL.Query().Get("format")
-	h, inlineFixed, err := parseNetlistFixed(format, bytes.NewReader(raw))
+	h, inlineFixed, err := netio.ReadWire(format, bytes.NewReader(raw))
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -307,7 +272,7 @@ func (s *server) handlePartition(w http.ResponseWriter, r *http.Request) {
 	// The request is now accepted: give it a job id and journal it
 	// before running, so a crash from here on re-enqueues it at boot.
 	jobID := s.jobs.Create()
-	s.walAppend(walRecord{Type: "accepted", JobID: jobID,
+	s.wal.Append(fleet.JournalRecord{Type: "accepted", JobID: jobID,
 		Format: format, Query: r.URL.RawQuery, Netlist: string(raw)})
 
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -333,7 +298,7 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 	wallMS := time.Since(start).Milliseconds()
 	if err != nil {
 		s.jobs.Update(jobID, func(j *fleet.JobInfo) { j.Status, j.Error, j.WallMS = "failed", err.Error(), wallMS })
-		s.walAppend(walRecord{Type: "failed", JobID: jobID, Error: err.Error()})
+		s.wal.Append(fleet.JournalRecord{Type: "failed", JobID: jobID, Error: err.Error()})
 		return partitionResponse{}, err
 	}
 	if res.Degraded {
@@ -348,7 +313,7 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 	s.jobs.Update(jobID, func(j *fleet.JobInfo) {
 		j.Status, j.Cut, j.TierName, j.Degraded, j.WallMS = "done", res.CutSize, res.TierName, res.Degraded, wallMS
 	})
-	s.walAppend(walRecord{Type: "done", JobID: jobID,
+	s.wal.Append(fleet.JournalRecord{Type: "done", JobID: jobID,
 		Cut: res.CutSize, TierName: res.TierName, Degraded: res.Degraded, WallMS: wallMS})
 	return partitionResponse{
 		JobID:      jobID,
@@ -363,35 +328,9 @@ func (s *server) execute(ctx context.Context, h *fasthgp.Hypergraph, opts []fast
 	}, nil
 }
 
-// walAppend journals rec if the WAL is enabled. Append failures never
-// fail the request — the daemon trades durability for availability and
-// reports the error count and the most recent error on /healthz and
-// /stats (a daemon that can serve but not journal is degraded: a crash
-// right now would lose this work).
-func (s *server) walAppend(rec walRecord) {
-	if s.wal == nil {
-		return
-	}
-	if err := s.wal.append(rec); err != nil {
-		s.walErrs.Add(1)
-		s.walLastErr.Store(err.Error())
-	}
-}
-
 // startDraining flips the daemon into drain mode: new partition
 // requests answer 503 + Retry-After while in-flight ones finish.
 func (s *server) startDraining() { s.draining.Store(true) }
-
-// drainRetryAfter is the Retry-After hint handed out during drain: the
-// drain grace in whole seconds (at least 1), i.e. "by then this
-// process is gone; try again and land on its replacement".
-func (s *server) drainRetryAfter() string {
-	secs := int(s.cfg.drainTimeout / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
 
 // requestTimeout derives one request's wall budget: the configured
 // -req-timeout, capped by a coordinator-propagated X-Request-Deadline
@@ -551,26 +490,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp["cache"] = false
 	}
-	if s.wal != nil {
-		resp["wal"] = true
-		resp["last_checkpoint_age_ms"] = s.wal.lastAppendAge().Milliseconds()
-		resp["wal_errors"] = s.walErrs.Load()
-		if n := s.walErrs.Load(); n > 0 {
-			last, _ := s.walLastErr.Load().(string)
-			resp["wal_last_error"] = last
-			reasons = append(reasons, fmt.Sprintf("%d WAL append error(s), last: %s", n, last))
-		}
-		if p := s.lastScrub.Load(); p != nil {
-			st := *p
-			st.AgeMS = time.Since(st.At).Milliseconds()
-			resp["wal_scrub"] = st
-			if !st.Healthy() {
-				reasons = append(reasons, "wal scrub: "+st.Problem())
-			}
-		}
-	} else {
-		resp["wal"] = false
-	}
+	reasons = append(reasons, s.wal.Health(resp)...)
 	if s.draining.Load() {
 		resp["draining"] = true
 		reasons = append(reasons, "draining: shutting down")
@@ -600,16 +520,11 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"failed":           s.failed500.Load(),
 		"degraded":         s.degraded.Load(),
 		"panics_recovered": s.recovered.Load(),
-		"wal_errors":       s.walErrs.Load(),
 		"jobs":             s.jobs.Counts(),
 		"queue_capacity":   s.cfg.queue,
 		"uptime_ms":        time.Since(s.begin).Milliseconds(),
 	}
-	if p := s.lastScrub.Load(); p != nil {
-		st := *p
-		st.AgeMS = time.Since(st.At).Milliseconds()
-		stats["wal_scrub"] = st
-	}
+	s.wal.Stats(stats)
 	s.writeJSON(w, http.StatusOK, stats)
 }
 
@@ -626,8 +541,6 @@ func (s *server) writeError(w http.ResponseWriter, code int, msg string) {
 
 func (s *server) countStatus(code int) {
 	switch code {
-	case http.StatusOK:
-		s.ok200.Add(1)
 	case http.StatusBadRequest:
 		s.bad400.Add(1)
 	case http.StatusRequestEntityTooLarge:

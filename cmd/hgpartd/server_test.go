@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"fasthgp/internal/faultinject"
+	"fasthgp/internal/fleet"
 )
 
 const testNets = `module a
@@ -186,9 +188,22 @@ func TestMethodNotAllowed(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	s := testServer()
 	h := s.handler()
-	post(t, h, "/partition", testNets)
+	rec := post(t, h, "/partition", testNets)
+	var resp partitionResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
 	post(t, h, "/partition", "frobnicate\n")
-	rec := httptest.NewRecorder()
+	// Answers from the other routes are not partition answers: none of
+	// them may count toward "ok".
+	for _, path := range []string{"/healthz", "/jobs/" + resp.JobID, "/stats"} {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d, want 200", path, rec.Code)
+		}
+	}
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
 	var stats map[string]any
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
@@ -362,9 +377,21 @@ func TestRequestTimeoutDerivation(t *testing.T) {
 // health report and carries the underlying error text.
 func TestWALErrorSurfacesOnHealthz(t *testing.T) {
 	s := testServer()
-	s.walErrs.Add(2)
-	s.walLastErr.Store("write wal: disk full")
-	s.wal = &wal{} // non-nil so healthz reports the WAL section
+	w, rep, err := fleet.OpenJournal(filepath.Join(t.TempDir(), "wal"), fleet.PurposeWorker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s.attachWAL(w, rep)
+	defer faultinject.Install(&faultinject.Plan{Rules: []faultinject.Rule{{
+		Point: faultinject.PointCheckpointWrite, Index: faultinject.AnyIndex,
+		Kind: faultinject.KindErrno, Errno: syscall.ENOSPC,
+	}}})()
+	for i := 0; i < 2; i++ {
+		if w.Append(fleet.JournalRecord{Type: "accepted", JobID: "j1"}) == nil {
+			t.Fatal("append succeeded on a full disk")
+		}
+	}
 	rec := httptest.NewRecorder()
 	s.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var health map[string]any
@@ -374,13 +401,16 @@ func TestWALErrorSurfacesOnHealthz(t *testing.T) {
 	if health["status"] != "degraded" {
 		t.Errorf("status = %v, want degraded", health["status"])
 	}
-	if health["wal_last_error"] != "write wal: disk full" {
+	if health["wal_errors"] != float64(2) {
+		t.Errorf("wal_errors = %v, want 2", health["wal_errors"])
+	}
+	if last, _ := health["wal_last_error"].(string); !strings.Contains(last, "no space left on device") {
 		t.Errorf("wal_last_error = %v", health["wal_last_error"])
 	}
 	reasons, _ := health["degraded_reasons"].([]any)
 	found := false
 	for _, r := range reasons {
-		if rs, ok := r.(string); ok && strings.Contains(rs, "disk full") {
+		if rs, ok := r.(string); ok && strings.Contains(rs, "no space left on device") {
 			found = true
 		}
 	}

@@ -8,7 +8,9 @@
 //   - every 200 is oracle-certified: the returned assignment is
 //     rebuilt into a Bipartition and VerifyCut recomputes the claimed
 //     cut from scratch;
-//   - job ids are unique: an accepted job completes exactly once;
+//   - job ids are unique: an accepted job completes exactly once (a
+//     result-cache hit may repeat the id of an identical earlier
+//     request — same netlist, same query — and is no duplicate);
 //   - the final /jobs/{id} sweep finds every completed job terminal
 //     on the service side;
 //   - optionally, the p99 request latency stays under -max-p99.
@@ -47,6 +49,7 @@ import (
 	"time"
 
 	"fasthgp"
+	"fasthgp/internal/mix"
 )
 
 func main() {
@@ -65,6 +68,7 @@ type corpusEntry struct {
 // result is one request's outcome.
 type result struct {
 	entry    int
+	query    string
 	jobID    string
 	status   int // final HTTP status (0 = transport failure)
 	err      string
@@ -211,14 +215,6 @@ func loadCorpus(dir string) ([]corpusEntry, error) {
 	return entries, nil
 }
 
-// splitmix64 drives the deterministic request mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // partitionResponse is the slice of the service's 200 body the
 // generator verifies (hgpartd and hgpartcoord share the shape).
 type partitionResponse struct {
@@ -233,7 +229,7 @@ type partitionResponse struct {
 // absorb refusals with their Retry-After hint, and oracle-check the
 // eventual 200. Any other terminal outcome is a dropped job.
 func fire(client *http.Client, base string, entries []corpusEntry, seed int64, i, starts int, budget time.Duration, chain string, reqCap time.Duration) result {
-	mix := splitmix64(uint64(seed) ^ splitmix64(uint64(i)))
+	mix := mix.SplitMix64(uint64(seed) ^ mix.SplitMix64(uint64(i)))
 	e := int(mix % uint64(len(entries)))
 	query := fmt.Sprintf("starts=%d&seed=%d", starts, int64(mix%1024))
 	if budget > 0 {
@@ -246,7 +242,7 @@ func fire(client *http.Client, base string, entries []corpusEntry, seed int64, i
 
 	begin := time.Now()
 	deadline := begin.Add(reqCap)
-	res := result{entry: e}
+	res := result{entry: e, query: query}
 	for {
 		resp, err := client.Post(url, "text/plain", strings.NewReader(entries[e].raw))
 		if err != nil {
@@ -327,10 +323,17 @@ func oracleCheck(e corpusEntry, pr partitionResponse) error {
 	return nil
 }
 
-// tally reduces the per-request results into the run summary.
+// tally reduces the per-request results into the run summary. A job id
+// seen twice is a duplicate only when it answers a different (entry,
+// query) pair: hgpartd's result cache answers an identical pair with
+// the original job id.
 func tally(results []result, p99Bound time.Duration, rps float64, duration time.Duration) summary {
 	s := summary{Requests: len(results), RPS: rps, DurationMS: duration.Milliseconds(), MaxP99MS: p99Bound.Milliseconds()}
-	seen := make(map[string]bool)
+	type pair struct {
+		entry int
+		query string
+	}
+	seen := make(map[string]pair)
 	var latencies []time.Duration
 	for _, r := range results {
 		s.Refusals += r.refusals
@@ -344,10 +347,12 @@ func tally(results []result, p99Bound time.Duration, rps float64, duration time.
 			s.VerifyFailed++
 		}
 		if r.jobID != "" {
-			if seen[r.jobID] {
+			p := pair{r.entry, r.query}
+			if first, ok := seen[r.jobID]; !ok {
+				seen[r.jobID] = p
+			} else if first != p {
 				s.DuplicateIDs++
 			}
-			seen[r.jobID] = true
 		}
 	}
 	if len(latencies) > 0 {

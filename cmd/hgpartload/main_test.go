@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fasthgp"
 )
@@ -196,5 +197,28 @@ func TestOracleCheckRejectsBadAssignment(t *testing.T) {
 	}
 	if err := oracleCheck(e, partitionResponse{Cut: 0, Assignment: []int{0, 1, 2, 0}}); err == nil {
 		t.Error("out-of-range side accepted")
+	}
+}
+
+// TestTallyCacheHitIsNoDuplicate: a result cache answers an identical
+// (netlist, query) pair with the original job id, which is no
+// duplicate; one id answering two different pairs is.
+func TestTallyCacheHitIsNoDuplicate(t *testing.T) {
+	ok := func(entry int, query, id string) result {
+		return result{entry: entry, query: query, jobID: id, status: http.StatusOK, verifyOK: true}
+	}
+	for _, tc := range []struct {
+		name    string
+		results []result
+		want    int
+	}{
+		{"identical pair, one id", []result{ok(0, "starts=2&seed=5", "j1"), ok(0, "starts=2&seed=5", "j1")}, 0},
+		{"other query, one id", []result{ok(0, "starts=2&seed=5", "j1"), ok(0, "starts=2&seed=6", "j1")}, 1},
+		{"other netlist, one id", []result{ok(0, "starts=2&seed=5", "j1"), ok(1, "starts=2&seed=5", "j1")}, 1},
+		{"distinct ids", []result{ok(0, "starts=2&seed=5", "j1"), ok(1, "starts=2&seed=5", "j2")}, 0},
+	} {
+		if got := tally(tc.results, 0, 1, time.Second).DuplicateIDs; got != tc.want {
+			t.Errorf("%s: duplicate_job_ids = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -47,8 +47,9 @@ func (r *Result) Stats() LevelStats {
 	}
 }
 
-// Options configures Contract and BuildHierarchy. The zero value
-// reproduces the historical Step/Hierarchy behaviour exactly.
+// Options configures Contract and BuildHierarchy. The zero value is
+// plain heavy-edge coarsening: no fixed vertices, no weight cap, every
+// net rated, and BuildHierarchy's defaults of 2 vertices and 30 levels.
 type Options struct {
 	// MinVertices stops BuildHierarchy once a level has at most this
 	// many vertices (minimum 2).
@@ -70,25 +71,14 @@ type Options struct {
 	MaxRatedEdgeSize int
 }
 
-// Step performs one level of matching and contraction. The returned
-// coarse hypergraph has at least half as many vertices when any match
-// exists; when nothing can be matched (e.g. an edgeless hypergraph)
-// the contraction is the identity.
-func Step(h *hypergraph.Hypergraph, rng *rand.Rand) *Result {
-	return Contract(h, rng, Options{})
-}
-
-// StepFixed is Step under a fixed-side assignment (−1 = free): two
-// vertices pinned to different sides are never matched, so every coarse
-// vertex has a well-defined fixed side, returned in Result.Fixed.
-// A nil fixed slice reproduces Step exactly.
-func StepFixed(h *hypergraph.Hypergraph, rng *rand.Rand, fixed []int8) *Result {
-	return Contract(h, rng, Options{Fixed: fixed})
-}
-
 // Contract performs one level of heavy-edge matching and contraction
 // under opts (MinVertices/MaxLevels are ignored here; they belong to
-// BuildHierarchy).
+// BuildHierarchy). The coarse hypergraph has at least half as many
+// vertices when any match exists; when nothing can be matched (e.g. an
+// edgeless hypergraph) the contraction is the identity. Two vertices
+// pinned to different sides by opts.Fixed are never matched, so every
+// coarse vertex has a well-defined fixed side, returned in
+// Result.Fixed.
 func Contract(h *hypergraph.Hypergraph, rng *rand.Rand, opts Options) *Result {
 	n := h.NumVertices()
 	mate := matching.HeavyEdge(h, rng, matching.HeavyEdgeOptions{
@@ -210,20 +200,6 @@ func pinsEqual(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// Hierarchy coarsens h repeatedly until at most minVertices remain, the
-// contraction stops making progress (shrink factor > 0.95), or
-// maxLevels levels were produced. Levels are ordered fine→coarse.
-func Hierarchy(h *hypergraph.Hypergraph, rng *rand.Rand, minVertices, maxLevels int) []*Result {
-	return BuildHierarchy(h, rng, Options{MinVertices: minVertices, MaxLevels: maxLevels})
-}
-
-// HierarchyFixed is Hierarchy with a fine-level fixed-side assignment
-// propagated through every contraction: each level's Result.Fixed pins
-// the coarse vertices. A nil fixed slice reproduces Hierarchy exactly.
-func HierarchyFixed(h *hypergraph.Hypergraph, rng *rand.Rand, minVertices, maxLevels int, fixed []int8) []*Result {
-	return BuildHierarchy(h, rng, Options{MinVertices: minVertices, MaxLevels: maxLevels, Fixed: fixed})
 }
 
 // BuildHierarchy coarsens h under opts until at most opts.MinVertices

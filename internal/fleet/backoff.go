@@ -11,6 +11,8 @@ package fleet
 import (
 	"context"
 	"time"
+
+	"fasthgp/internal/mix"
 )
 
 // BackoffConfig shapes a retry schedule.
@@ -45,7 +47,7 @@ func (c BackoffConfig) Delay(attempt int) time.Duration {
 	if d > c.Cap {
 		d = c.Cap
 	}
-	h := splitmix64(uint64(c.Seed) ^ splitmix64(uint64(attempt)))
+	h := mix.SplitMix64(uint64(c.Seed) ^ mix.SplitMix64(uint64(attempt)))
 	frac := float64(h%1024) / 1024 // [0, 1)
 	return d/2 + time.Duration(frac*float64(d))
 }

@@ -22,21 +22,32 @@
 //     routing, seeded so a given failure sequence replays identically.
 //   - JobTable: the bounded job registry behind GET /jobs/{id}, shared
 //     by the worker daemon and the coordinator.
+//   - Journal: the crash-safe job journal (write-ahead log) both daemons
+//     keep under their own purpose tags — append, replay into the job
+//     table and pending jobs, scrub, and the WAL block of /healthz and
+//     /stats.
 //
 // All clocks are injectable (RegistryConfig.Now), all randomness is
-// splitmix64-derived from explicit seeds, and nothing here opens a
+// mix.SplitMix64-derived from explicit seeds, and nothing here opens a
 // socket — the chaos harness drives the same code paths over HTTP that
 // these types' tests drive directly.
 package fleet
 
-// splitmix64 is the SplitMix64 output mixer, the same stream-splitting
-// construction the engine, portfolio, and faultinject use. It drives
-// the ring's virtual-node placement and the backoff jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+import (
+	"strconv"
+	"time"
+)
+
+// RetryAfterSeconds renders d as a Retry-After value in whole seconds,
+// at least 1. Both daemons answer drain-time 503s with their drain
+// grace: by then this process is gone, so a retry lands on its
+// replacement.
+func RetryAfterSeconds(d time.Duration) string {
+	secs := int(d / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.Itoa(secs)
 }
 
 // fnv1a hashes a string with 64-bit FNV-1a (the same family as the

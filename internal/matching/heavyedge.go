@@ -40,9 +40,9 @@ type HeavyEdgeOptions struct {
 // shared nets e (ties broken toward the lowest index). The result is
 // mate[v] = partner or Unmatched, symmetric.
 //
-// The greedy is deterministic given rng's state and, with a zero
-// options struct, reproduces the historical coarsen.Step matching
-// decisions exactly.
+// The greedy is deterministic given rng's state; with a zero options
+// struct it is the plain heavy-edge matching coarsen.Contract runs
+// under a zero coarsen.Options.
 func HeavyEdge(h *hypergraph.Hypergraph, rng *rand.Rand, opts HeavyEdgeOptions) []int {
 	n := h.NumVertices()
 	side := func(v int) int8 {

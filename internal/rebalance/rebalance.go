@@ -68,7 +68,10 @@ func ToTargetFixed(h *hypergraph.Hypergraph, p *partition.Bipartition, targetLef
 		default:
 			return moved, nil
 		}
-		v := bestMover(h, s, from, excess, fixed)
+		// Weight below 2×excess brings the balance strictly closer to
+		// the target; anything heavier would overshoot past the starting
+		// distance and oscillate.
+		v := bestMover(h, s, from, 2*excess-1, fixed)
 		if v == -1 {
 			return moved, nil // no legal move can improve the balance
 		}
@@ -142,7 +145,7 @@ func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 		if from == partition.Right {
 			fromW = rw
 		}
-		v := bestBandMover(h, s, from, fromW-(total-maxSide), c.FixedSide)
+		v := bestMover(h, s, from, fromW-(total-maxSide), c.FixedSide)
 		if v == -1 {
 			return fmt.Errorf("%w: side weight %d exceeds max %d and no free vertex can move", ErrInfeasible, fromW, maxSide)
 		}
@@ -150,11 +153,13 @@ func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 	}
 }
 
-// bestBandMover selects the vertex on `from` with the highest cut gain
-// among free vertices of positive weight at most maxW (so the move can
-// not push the opposite side over the bound) that do not empty the
-// side. Ties break toward heavier vertices then lower index.
-func bestBandMover(h *hypergraph.Hypergraph, s *cutstate.State, from partition.Side, maxW int64, fixed []int8) int {
+// bestMover selects the vertex on `from` with the highest cut gain
+// among vertices of positive weight at most maxW, skipping vertices
+// pinned by fixed and refusing to empty the side. Zero-weight moves
+// make no balance progress; the cap keeps a move from overshooting.
+// Ties break toward heavier vertices (fewer moves) then lower index.
+// Returns -1 when nothing qualifies.
+func bestMover(h *hypergraph.Hypergraph, s *cutstate.State, from partition.Side, maxW int64, fixed []int8) int {
 	l, r, _ := s.Partition().Counts()
 	if (from == partition.Left && l <= 1) || (from == partition.Right && r <= 1) {
 		return -1
@@ -215,40 +220,4 @@ func repairEmptySide(h *hypergraph.Hypergraph, p *partition.Bipartition, c parti
 	}
 	p.Assign(best, empty)
 	return nil
-}
-
-// bestMover selects the vertex on `from` with the highest cut gain
-// whose move brings the balance strictly closer to target (weight at
-// most 2×excess keeps us from overshooting into oscillation) and does
-// not empty the side. Vertices pinned by fixed are skipped. Ties break
-// toward heavier vertices (fewer moves) then lower index. Returns -1
-// when nothing qualifies.
-func bestMover(h *hypergraph.Hypergraph, s *cutstate.State, from partition.Side, excess int64, fixed []int8) int {
-	l, r, _ := s.Partition().Counts()
-	if (from == partition.Left && l <= 1) || (from == partition.Right && r <= 1) {
-		return -1
-	}
-	best := -1
-	bestGain := 0
-	var bestW int64
-	for v := 0; v < h.NumVertices(); v++ {
-		if s.Side(v) != from {
-			continue
-		}
-		if v < len(fixed) && fixed[v] >= 0 {
-			continue
-		}
-		w := h.VertexWeight(v)
-		if w == 0 || w >= 2*excess {
-			// Zero-weight moves make no balance progress; over-heavy
-			// moves would overshoot past the starting distance.
-			continue
-		}
-		g := s.Gain(v)
-		if best == -1 || g > bestGain ||
-			(g == bestGain && (w > bestW || (w == bestW && v < best))) {
-			best, bestGain, bestW = v, g, w
-		}
-	}
-	return best
 }
