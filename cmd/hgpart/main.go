@@ -325,6 +325,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			res.Stats.GVertices, res.Stats.GEdges, res.Stats.BoundarySize, res.Stats.BFSDepth)
 		if res.Stats.Disconnected {
 			fmt.Fprint(stdout, " [disconnected: zero-cut packing]")
+		} else {
+			fmt.Fprintf(stdout, ", %d distinct paths of %d starts",
+				res.Stats.DistinctPaths, es.StartsRun-es.StartsResumed)
 		}
 		fmt.Fprintln(stdout)
 	case "multilevel":

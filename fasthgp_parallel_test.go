@@ -94,6 +94,22 @@ func TestParallelismDoesNotChangeResult(t *testing.T) {
 							seed, serial.cut, serial.bestStart, got.cut, got.bestStart, got.sides == serial.sides)
 					}
 				}
+				if a.Name == "algo1" {
+					// The registry result has no Algorithm I stats; the
+					// memo's distinct-path count must not depend on the
+					// worker count either.
+					var distinct [2]int
+					for i, par := range []int{1, 8} {
+						res, err := PartitionCtx(context.Background(), h, Options{Starts: starts, Seed: seed, Parallelism: par})
+						if err != nil {
+							t.Fatalf("seed %d parallelism %d: %v", seed, par, err)
+						}
+						distinct[i] = res.Stats.DistinctPaths
+					}
+					if distinct[0] != distinct[1] {
+						t.Errorf("seed %d: %d distinct paths serial, %d parallel", seed, distinct[0], distinct[1])
+					}
+				}
 			}
 		})
 	}

@@ -29,7 +29,9 @@
 //
 // Multi-start (Options.Starts) repeats steps 2–5 over several random
 // longest paths and keeps the best result, as in the paper's test runs
-// (which examined 50 random longest paths).
+// (which examined 50 random longest paths). Steps 3–5 depend only on
+// the path's endpoints, so starts that draw the same endpoint pair
+// compute it once.
 package core
 
 import (
@@ -173,6 +175,12 @@ type Stats struct {
 	BoundarySize int
 	// StartsRun is the number of starts actually executed.
 	StartsRun int
+	// DistinctPaths is the number of distinct double-BFS endpoint pairs
+	// (u, v) among the completed starts this call executed (resumed
+	// checkpoint starts are not counted). Each pair is computed once;
+	// StartsRun − DistinctPaths starts reused an earlier outcome. It does
+	// not depend on Parallelism.
+	DistinctPaths int
 	// Repaired reports that the best start needed the degenerate-side
 	// repair: the completion placed every module on one side (possible
 	// when the G-cut leaves no non-boundary nets on a side — the
@@ -220,7 +228,18 @@ func Bipartition(h *hypergraph.Hypergraph, opts Options) (*Result, error) {
 // opts.Parallelism workers, and when ctx expires the best result among
 // the starts that completed is returned (start 0 always runs), with
 // Stats.Engine.Cancelled set, rather than an error.
+//
+// Starts that reach the same double-BFS endpoint pair share one
+// computation (see startMemo); the result is exactly that of running
+// every start on its own.
 func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Result, error) {
+	return bipartition(ctx, h, opts, true)
+}
+
+// bipartition is BipartitionCtx. With shareMemo false every start gets
+// a fresh memo, so each one computes its outcome alone: the reference
+// the memo's differential test compares against.
+func bipartition(ctx context.Context, h *hypergraph.Hypergraph, opts Options, shareMemo bool) (*Result, error) {
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("core: hypergraph has %d vertices; need at least 2 to bipartition", h.NumVertices())
 	}
@@ -260,13 +279,28 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 		return res, nil
 	}
 
+	shared := newStartMemo()
+	// paths[i] is start i's endpoint pair, {-1, -1} until it is drawn.
+	// Each index is written by the one worker that claims it.
+	paths := make([][2]int, engine.Normalize(opts.Starts))
+	for i := range paths {
+		paths[i] = [2]int{-1, -1}
+	}
 	best, es, err := engine.Run(ctx, engine.Spec[*Result]{
 		Name:        "algo1",
 		Starts:      opts.Starts,
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
-		Run: func(_ context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			return runOnce(h, ig, rng, opts, scratch)
+		Run: func(_ context.Context, i int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
+			memo := shared
+			if !shareMemo {
+				memo = newStartMemo()
+			}
+			u, v, depth := seedPath(h, ig, rng, opts.Constraint, memo)
+			paths[i] = [2]int{u, v}
+			return memo.outcome(u, v, func() (*Result, error) {
+				return runOnce(h, ig, u, v, depth, opts, scratch)
+			})
 		},
 		Better: func(a, b *Result) bool { return better(h, a, b, opts.Objective) },
 		Cut:    func(r *Result) int { return r.CutSize },
@@ -289,8 +323,22 @@ func BipartitionCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options)
 	best.Stats.GEdges = baseStats.GEdges
 	best.Stats.ExcludedNets = baseStats.ExcludedNets
 	best.Stats.StartsRun = es.StartsRun
+	best.Stats.DistinctPaths = distinctPaths(paths, es.Cuts)
 	best.Stats.Engine = es
 	return best, nil
+}
+
+// distinctPaths counts the distinct endpoint pairs among the starts
+// that drew one and completed. Resumed starts never draw, so they are
+// not counted.
+func distinctPaths(paths [][2]int, cuts []int) int {
+	seen := make(map[[2]int]bool, len(paths))
+	for i, uv := range paths {
+		if uv[0] >= 0 && cuts[i] != engine.NotRun {
+			seen[uv] = true
+		}
+	}
+	return len(seen)
 }
 
 // better reports whether candidate a improves on b under the objective.
@@ -310,11 +358,15 @@ func better(h *hypergraph.Hypergraph, a, b *Result, obj Objective) bool {
 	return partition.Imbalance(h, a.Partition) < partition.Imbalance(h, b.Partition)
 }
 
-// runOnce executes one start: longest BFS path, double-BFS cut,
-// boundary completion, module assignment, repair, scoring. The scratch
-// arena (may be nil) backs buffers that die with the start.
-func runOnce(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, opts Options, scratch *engine.Scratch) (*Result, error) {
-	u, v, depth := seedPath(h, ig, rng, opts.Constraint)
+// runOnce completes one start from its endpoints u and v: double-BFS
+// cut, boundary completion, module assignment, repair, scoring. A
+// negative depth is computed here as the BFS distance from u to v. The
+// scratch arena (may be nil) backs buffers that die with the start.
+func runOnce(h *hypergraph.Hypergraph, ig *intersect.Result, u, v, depth int, opts Options, scratch *engine.Scratch) (*Result, error) {
+	if depth < 0 {
+		dist, _ := ig.G.BFS(u)
+		depth = max(dist[v], 0)
+	}
 	pb := partialFromCutWorkers(h, ig, u, v, opts.BalancedBFS,
 		engine.NormalizeKernelWorkers(opts.KernelWorkers), scratch)
 
@@ -372,10 +424,11 @@ func runOnce(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, opt
 // touching a Right-fixed one, so the expanding sets grow outward from
 // the pinned regions and the completed partition starts near the
 // contract; when either side pins no included net, the longest-path
-// draw is kept.
-func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c partition.Constraint) (u, v, depth int) {
+// draw is kept. The depth is the BFS distance from u to v, or -1 when
+// it is left for runOnce to compute on a memo miss.
+func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c partition.Constraint, memo *startMemo) (u, v, depth int) {
 	if !c.HasFixed() {
-		return ig.G.LongestBFSPath(rng)
+		return memo.longestPath(ig.G, rng)
 	}
 	nG := ig.G.NumVertices()
 	inL := make([]bool, nG)
@@ -405,7 +458,7 @@ func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c 
 		}
 	}
 	if len(lefts) == 0 || len(rights) == 0 {
-		return ig.G.LongestBFSPath(rng)
+		return memo.longestPath(ig.G, rng)
 	}
 	u = lefts[rng.Intn(len(lefts))]
 	v = rights[rng.Intn(len(rights))]
@@ -427,15 +480,10 @@ func seedPath(h *hypergraph.Hypergraph, ig *intersect.Result, rng *rand.Rand, c 
 			}
 		}
 		if v == u {
-			return ig.G.LongestBFSPath(rng)
+			return memo.longestPath(ig.G, rng)
 		}
 	}
-	dist, _ := ig.G.BFS(u)
-	depth = dist[v]
-	if depth < 0 {
-		depth = 0
-	}
-	return u, v, depth
+	return u, v, -1
 }
 
 // majorityFallback assigns each module to the side held by the

@@ -146,22 +146,26 @@ func partialFromCutWorkers(h *hypergraph.Hypergraph, ig *intersect.Result, u, v 
 }
 
 // buildBoundaryGraph extracts G′ from the cut labeling by direct CSR
-// construction: one counting pass over the boundary rows, a prefix sum,
-// and one emission pass. Only cross edges are kept — same-side edges
-// are deleted, which is what makes G′ bipartite. Because boundary-graph
-// indices are assigned in ascending G order and Neighbors lists are
-// sorted, every emitted row is already sorted, so the CSR needs no
-// sort or dedup pass (G is simple, so no duplicates can arise).
+// construction in one pass over the boundary rows. Only cross edges are
+// kept — same-side edges are deleted, which is what makes G′ bipartite.
+// Rows are emitted in ascending boundary index, so each row's end
+// offset is known as soon as it closes, and adj is leased at the bound
+// Σ deg_G over the boundary instead of being counted first. Because
+// boundary-graph indices are assigned in ascending G order and
+// Neighbors lists are sorted, every emitted row is already sorted, so
+// the CSR needs no sort or dedup pass (G is simple, so no duplicates
+// can arise).
 func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary []bool, s *engine.Scratch) *BoundaryGraph {
 	g := ig.G
 	n := g.NumVertices()
 	bgIndex := leaseInts(s, n)
 	bg := &BoundaryGraph{}
-	nb := 0
+	nb, bound := 0, 0
 	for i := 0; i < n; i++ {
 		if isBoundary[i] {
 			bgIndex[i] = nb
 			nb++
+			bound += g.Degree(i)
 		} else {
 			bgIndex[i] = -1
 		}
@@ -171,6 +175,8 @@ func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary 
 		bg.SideOf = leaseSides(s, nb)
 	}
 	start := leaseInts(s, nb+1)
+	adj := leaseInts(s, bound)
+	k := 0
 	for i := 0; i < n; i++ {
 		bi := bgIndex[i]
 		if bi < 0 {
@@ -178,33 +184,15 @@ func buildBoundaryGraph(ig *intersect.Result, side []partition.Side, isBoundary 
 		}
 		bg.Nets[bi] = ig.NetOf[i]
 		bg.SideOf[bi] = side[i]
-		deg := 0
 		for _, j := range g.Neighbors(i) {
 			if isBoundary[j] && side[j] != side[i] {
-				deg++
+				adj[k] = bgIndex[j]
+				k++
 			}
 		}
-		start[bi+1] = deg
+		start[bi+1] = k
 	}
-	for k := 0; k < nb; k++ {
-		start[k+1] += start[k]
-	}
-	adj := leaseInts(s, start[nb])
-	cursor := leaseInts(s, nb)
-	copy(cursor, start[:nb])
-	for i := 0; i < n; i++ {
-		bi := bgIndex[i]
-		if bi < 0 {
-			continue
-		}
-		for _, j := range g.Neighbors(i) {
-			if isBoundary[j] && side[j] != side[i] {
-				adj[cursor[bi]] = bgIndex[j]
-				cursor[bi]++
-			}
-		}
-	}
-	bg.G = graph.UncheckedCSR(start, adj)
+	bg.G = graph.UncheckedCSR(start, adj[:k])
 	return bg
 }
 

@@ -238,6 +238,21 @@ func TestScratchBuffersZeroedAndReused(t *testing.T) {
 	}
 }
 
+// TestScratchLeasesSmallestFit: a small lease must not take the large
+// buffer a later large lease can reuse, or every start would allocate
+// the large one again.
+func TestScratchLeasesSmallestFit(t *testing.T) {
+	s := new(Scratch)
+	small, big := s.Ints(10), s.Ints(1000)
+	s.Release()
+	if got := s.Ints(8); &got[0] != &small[0] {
+		t.Error("a small lease took the large buffer")
+	}
+	if got := s.Ints(900); &got[0] != &big[0] {
+		t.Error("a large lease did not reuse the large buffer")
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	_, st, err := Run(context.Background(), scoreSpec(12, 3, 7))
 	if err != nil {

@@ -28,91 +28,47 @@ type Scratch struct {
 // Int8s leases a zeroed []int8 of length n from the arena. Fixed-side
 // assignments and per-vertex flow-corridor states are int8-valued, so
 // they get their own free list.
-func (s *Scratch) Int8s(n int) []int8 {
-	for k := len(s.freeInt8s) - 1; k >= 0; k-- {
-		if cap(s.freeInt8s[k]) >= n {
-			buf := s.freeInt8s[k][:n]
-			s.freeInt8s[k] = s.freeInt8s[len(s.freeInt8s)-1]
-			s.freeInt8s = s.freeInt8s[:len(s.freeInt8s)-1]
-			clear(buf)
-			s.usedInt8s = append(s.usedInt8s, buf)
-			return buf
-		}
-	}
-	buf := make([]int8, n)
-	s.usedInt8s = append(s.usedInt8s, buf)
-	return buf
-}
+func (s *Scratch) Int8s(n int) []int8 { return lease(&s.freeInt8s, &s.usedInt8s, n) }
 
 // Ints leases a zeroed []int of length n from the arena.
-func (s *Scratch) Ints(n int) []int {
-	for k := len(s.freeInts) - 1; k >= 0; k-- {
-		if cap(s.freeInts[k]) >= n {
-			buf := s.freeInts[k][:n]
-			s.freeInts[k] = s.freeInts[len(s.freeInts)-1]
-			s.freeInts = s.freeInts[:len(s.freeInts)-1]
-			clear(buf)
-			s.usedInts = append(s.usedInts, buf)
-			return buf
-		}
-	}
-	buf := make([]int, n)
-	s.usedInts = append(s.usedInts, buf)
-	return buf
-}
+func (s *Scratch) Ints(n int) []int { return lease(&s.freeInts, &s.usedInts, n) }
 
 // Bools leases a zeroed []bool of length n from the arena.
-func (s *Scratch) Bools(n int) []bool {
-	for k := len(s.freeBools) - 1; k >= 0; k-- {
-		if cap(s.freeBools[k]) >= n {
-			buf := s.freeBools[k][:n]
-			s.freeBools[k] = s.freeBools[len(s.freeBools)-1]
-			s.freeBools = s.freeBools[:len(s.freeBools)-1]
-			clear(buf)
-			s.usedBools = append(s.usedBools, buf)
-			return buf
-		}
-	}
-	buf := make([]bool, n)
-	s.usedBools = append(s.usedBools, buf)
-	return buf
-}
+func (s *Scratch) Bools(n int) []bool { return lease(&s.freeBools, &s.usedBools, n) }
 
 // Int64s leases a zeroed []int64 of length n from the arena.
-func (s *Scratch) Int64s(n int) []int64 {
-	for k := len(s.freeInt64s) - 1; k >= 0; k-- {
-		if cap(s.freeInt64s[k]) >= n {
-			buf := s.freeInt64s[k][:n]
-			s.freeInt64s[k] = s.freeInt64s[len(s.freeInt64s)-1]
-			s.freeInt64s = s.freeInt64s[:len(s.freeInt64s)-1]
-			clear(buf)
-			s.usedInt64s = append(s.usedInt64s, buf)
-			return buf
-		}
-	}
-	buf := make([]int64, n)
-	s.usedInt64s = append(s.usedInt64s, buf)
-	return buf
-}
+func (s *Scratch) Int64s(n int) []int64 { return lease(&s.freeInt64s, &s.usedInt64s, n) }
 
 // Sides leases a zeroed []partition.Side of length n from the arena.
 // Note the zero Side is Left, not Unassigned — callers that need the
 // "nothing placed yet" state must fill with partition.Unassigned
 // themselves. Side arrays are the working currency of every
 // partitioner's per-start state, so they get their own free list.
-func (s *Scratch) Sides(n int) []partition.Side {
-	for k := len(s.freeSides) - 1; k >= 0; k-- {
-		if cap(s.freeSides[k]) >= n {
-			buf := s.freeSides[k][:n]
-			s.freeSides[k] = s.freeSides[len(s.freeSides)-1]
-			s.freeSides = s.freeSides[:len(s.freeSides)-1]
-			clear(buf)
-			s.usedSides = append(s.usedSides, buf)
-			return buf
+func (s *Scratch) Sides(n int) []partition.Side { return lease(&s.freeSides, &s.usedSides, n) }
+
+// lease hands out a zeroed buffer of length n, recording it in used:
+// the smallest buffer in free that fits, else a new one. Taking the
+// smallest fit keeps a start's one large buffer (the boundary graph's
+// adjacency, leased at an upper bound) from being spent on a small
+// request and then allocated again for the next large one.
+func lease[T any](free, used *[][]T, n int) []T {
+	best := -1
+	for k, b := range *free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap((*free)[best])) {
+			best = k
 		}
 	}
-	buf := make([]partition.Side, n)
-	s.usedSides = append(s.usedSides, buf)
+	var buf []T
+	if best < 0 {
+		buf = make([]T, n)
+	} else {
+		f := *free
+		buf = f[best][:n]
+		clear(buf)
+		f[best] = f[len(f)-1]
+		*free = f[:len(f)-1]
+	}
+	*used = append(*used, buf)
 	return buf
 }
 

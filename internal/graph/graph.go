@@ -251,9 +251,9 @@ func (g *Graph) BFS(src int) (dist, parent []int) {
 }
 
 // bfsBuffers holds the distance and queue arrays of one BFS sweep.
-// They are pooled because Eccentricity is the hot path of every
-// Algorithm I start (two sweeps per LongestBFSPath), and parallel
-// multi-start runs would otherwise allocate two O(n) arrays per sweep.
+// They are pooled because Eccentricity draws every Algorithm I start's
+// longest path, and parallel multi-start runs would otherwise allocate
+// two O(n) arrays per sweep.
 type bfsBuffers struct {
 	dist  []int
 	queue []int

@@ -152,6 +152,9 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 	if h.NumVertices() < 2 {
 		return nil, fmt.Errorf("multilevel: hypergraph has %d vertices; need at least 2", h.NumVertices())
 	}
+	if err := rebalance.Feasible(h, opts.Constraint); err != nil {
+		return nil, fmt.Errorf("multilevel: %w", err)
+	}
 	opts.defaults()
 	// A lone V-cycle forwards the worker budget to the coarsest-level
 	// Algorithm I multi-start instead; with several cycles in flight
@@ -166,7 +169,7 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 		Parallelism: opts.Parallelism,
 		Seed:        opts.Seed,
 		Run: func(ctx context.Context, _ int, rng *rand.Rand, scratch *engine.Scratch) (*Result, error) {
-			return vcycle(ctx, h, opts, rng, innerParallelism, scratch), nil
+			return vcycle(ctx, h, opts, rng, innerParallelism, scratch)
 		},
 		Better: func(a, b *Result) bool {
 			if a.CutSize != b.CutSize {
@@ -208,8 +211,9 @@ func BisectCtx(ctx context.Context, h *hypergraph.Hypergraph, opts Options) (*Re
 }
 
 // vcycle runs one full coarsen → initial cut → uncoarsen+refine cycle.
+// It fails only when the final repair cannot satisfy the constraint.
 func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *rand.Rand,
-	innerParallelism int, scratch *engine.Scratch) *Result {
+	innerParallelism int, scratch *engine.Scratch) (*Result, error) {
 	c := opts.Constraint
 	var fineFixed []int8
 	if c.HasFixed() {
@@ -273,8 +277,8 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 		// Refinement maintains the contract level by level, but a cycle
 		// cut short by ctx expiry may surface an unrefined projection;
 		// the shared repair makes the invariant unconditional.
-		if err := rebalance.Enforce(h, p, c); err == nil {
-			_ = err
+		if err := rebalance.Enforce(h, p, c); err != nil {
+			return nil, fmt.Errorf("multilevel: %w", err)
 		}
 	}
 
@@ -286,7 +290,7 @@ func vcycle(ctx context.Context, h *hypergraph.Hypergraph, opts Options, rng *ra
 		Levels:           len(levels),
 		CoarsestVertices: coarsest.NumVertices(),
 		VCycle:           *stats,
-	}
+	}, nil
 }
 
 // levelConstraint rebinds the contract to one coarsening level: that

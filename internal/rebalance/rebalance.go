@@ -86,6 +86,21 @@ func Bisect(h *hypergraph.Hypergraph, p *partition.Bipartition, tolerance int64)
 	return ToTarget(h, p, h.TotalVertexWeight()/2, tolerance)
 }
 
+// Feasible runs the checks Enforce makes before it touches a partition:
+// c must be a valid two-way constraint for h, and satisfiable at all.
+// An unsatisfiable c yields ErrInfeasible, wrapped with the reason.
+// Callers that build a partition before enforcing c run it first, so
+// they refuse the contract up front instead of after the work.
+func Feasible(h *hypergraph.Hypergraph, c partition.Constraint) error {
+	if err := c.Validate(h.NumVertices(), 2); err != nil {
+		return fmt.Errorf("rebalance: %w", err)
+	}
+	if err := c.Infeasible(h); err != nil {
+		return fmt.Errorf("%w: %v", ErrInfeasible, err)
+	}
+	return nil
+}
+
 // Enforce makes p satisfy the constraint c in place: fixed vertices are
 // forced onto their pinned sides, then the greedy repair moves free
 // vertices off any side exceeding c's max side weight. It returns
@@ -98,8 +113,8 @@ func Bisect(h *hypergraph.Hypergraph, p *partition.Bipartition, tolerance int64)
 // to keep both sides populated, matching the library-wide invariant
 // that a bipartition has two nonempty sides.
 func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Constraint) error {
-	if err := c.Validate(h.NumVertices(), 2); err != nil {
-		return fmt.Errorf("rebalance: %w", err)
+	if err := Feasible(h, c); err != nil {
+		return err
 	}
 	if len(p.Sides()) != h.NumVertices() {
 		return fmt.Errorf("rebalance: partition covers %d vertices, hypergraph has %d", p.Len(), h.NumVertices())
@@ -109,9 +124,6 @@ func Enforce(h *hypergraph.Hypergraph, p *partition.Bipartition, c partition.Con
 			return fmt.Errorf("rebalance: %w", err)
 		}
 		return nil
-	}
-	if err := c.Infeasible(h); err != nil {
-		return fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
 	c.ApplyFixed(p)
 	if err := repairEmptySide(h, p, c); err != nil {

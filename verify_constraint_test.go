@@ -10,9 +10,13 @@ package fasthgp
 
 import (
 	"context"
+	"errors"
+	"math/rand"
 	"testing"
 
 	"fasthgp/internal/bruteforce"
+	"fasthgp/internal/gen"
+	"fasthgp/internal/partition"
 	"fasthgp/internal/verify"
 )
 
@@ -201,5 +205,35 @@ func TestConstrainedParallelismInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMultilevelInfeasibleConstraintIsAnError: 300 of 400 unit modules
+// pinned Left cannot fit a side capped at 206 by ε = 0.03. The V-cycle
+// must refuse the contract as Algorithm I does, not return a partition
+// that violates it.
+func TestMultilevelInfeasibleConstraintIsAnError(t *testing.T) {
+	h, err := gen.PowerLaw(400, gen.PowerLawConfig{NumEdges: 600}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := make([]int8, h.NumVertices())
+	for v := range fixed {
+		fixed[v] = FreeVertex
+		if v < 300 {
+			fixed[v] = 0
+		}
+	}
+	c := Constraint{Epsilon: 0.03, FixedSide: fixed}
+	if _, err := PartitionCtx(context.Background(), h, Options{Starts: 2, Seed: 1, Constraint: c}); !errors.Is(err, ErrConstraintInfeasible) {
+		t.Fatalf("PartitionCtx: err = %v, want ErrConstraintInfeasible", err)
+	}
+	res, err := MultilevelCtx(context.Background(), h, MultilevelOptions{Seed: 1, Constraint: c})
+	if !errors.Is(err, ErrConstraintInfeasible) {
+		if err == nil {
+			l, r := partition.SideWeights(h, res.Partition)
+			t.Fatalf("MultilevelCtx returned side weights %d|%d as success, want ErrConstraintInfeasible", l, r)
+		}
+		t.Fatalf("MultilevelCtx: err = %v, want ErrConstraintInfeasible", err)
 	}
 }
